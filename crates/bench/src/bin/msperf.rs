@@ -16,9 +16,10 @@
 //! turnaround.
 //!
 //! With `--cpi`, multiscalar points are timed with live CPI-stack
-//! accounting (`run_multiscalar_with_accountant`). CI runs msperf with
-//! and without this flag and asserts the accounted timings regress by
-//! less than 2%, bounding the cost of leaving accounting on in sweeps.
+//! accounting (a `CpiAccountant` passed to `run_multiscalar_with`). CI
+//! runs msperf with and without this flag and asserts the accounted
+//! timings regress by less than 2%, bounding the cost of leaving
+//! accounting on in sweeps.
 //!
 //! With `--no-skip`, every machine runs with the event-driven
 //! skip-ahead stepper disabled (`SimConfig::skip_ahead(false)`) — the

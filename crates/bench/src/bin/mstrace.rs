@@ -27,12 +27,17 @@
 //! the aggregate statistics, and the cycle-accounting layer are three
 //! independent observers of one simulation and must never silently
 //! diverge.
+//!
+//! If the simulation itself fails (cycle bound, forward-progress
+//! watchdog, broken invariant), the error is followed on stderr by the
+//! full `DiagnosticSnapshot` of the machine: per-unit stall reasons and
+//! histograms, ring and ARB occupancy, and the head task's age.
 
 use ms_trace::{
     ChromeTraceSink, CpiStack, JsonLinesSink, MetricsReport, MetricsSink, StallReason, TeeSink,
 };
-use ms_workloads::Scale;
-use multiscalar::{CpiAccountant, RunStats, SimConfig};
+use ms_workloads::{Scale, WorkloadError};
+use multiscalar::{CpiAccountant, NoFaults, RunStats, SimConfig};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -251,14 +256,21 @@ fn main() -> ExitCode {
     );
 
     let cfg = SimConfig::multiscalar(args.units);
-    let (stats, sink) = match w.run_multiscalar_instrumented(cfg, sink, CpiAccountant::new()) {
+    let (stats, p) = match w.run_multiscalar_with(cfg, sink, NoFaults, CpiAccountant::new()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{}: {e}", w.name);
+            // A timeout, stalled run or broken invariant carries the
+            // machine state at the failure: print all of it.
+            if let WorkloadError::Sim(sim) = &e {
+                if let Some(snap) = sim.snapshot() {
+                    eprintln!("{snap}");
+                }
+            }
             return ExitCode::FAILURE;
         }
     };
-    let TeeSink(metrics_sink, TeeSink(chrome, jsonl)) = sink;
+    let TeeSink(metrics_sink, TeeSink(chrome, jsonl)) = p.into_sink();
     let metrics = metrics_sink.into_report();
 
     let (_, chrome_err) = chrome.into_inner();

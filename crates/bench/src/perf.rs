@@ -44,7 +44,8 @@
 //! which this harness treats as an error, not a data point.
 
 use ms_workloads::{Workload, WorkloadError};
-use multiscalar::{CpiAccountant, SimConfig};
+use multiscalar::trace::NullSink;
+use multiscalar::{CpiAccountant, NoFaults, SimConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -146,7 +147,7 @@ pub fn measure(w: &Workload, m: &MachineSpec, reps: usize) -> Result<PerfPoint, 
 /// [`measure`] with live CPI-stack accounting on multiscalar runs.
 ///
 /// Times the *accounting-enabled* simulation path
-/// (`run_multiscalar_with_accountant`) instead of the default
+/// (`run_multiscalar_with` and a [`CpiAccountant`]) instead of the default
 /// `NoAccounting` path; the scalar baseline is timed unchanged (it has
 /// no accountant). CI compares this against [`measure`] to bound the
 /// runtime cost of cycle accounting — the zero-cost claim for the
@@ -176,7 +177,9 @@ fn measure_with(
         let t0 = Instant::now();
         let stats = match (m.multiscalar, accounted) {
             (true, false) => w.run_multiscalar(m.cfg),
-            (true, true) => w.run_multiscalar_with_accountant(m.cfg, CpiAccountant::new()),
+            (true, true) => w
+                .run_multiscalar_with(m.cfg, NullSink, NoFaults, CpiAccountant::new())
+                .map(|(stats, _)| stats),
             (false, _) => w.run_scalar(m.cfg),
         }?;
         wall_secs.push(t0.elapsed().as_secs_f64());

@@ -34,9 +34,9 @@
 use crate::perf::MachineSpec;
 use ms_trace::json;
 use ms_trace::jsonv::{self, JsonValue};
-use ms_trace::{CpiStack, StallReason};
+use ms_trace::{CpiStack, NullSink, StallReason};
 use ms_workloads::{Workload, WorkloadError};
-use multiscalar::CpiAccountant;
+use multiscalar::{CpiAccountant, NoFaults};
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into [`profile_to_json`] output.
@@ -68,7 +68,7 @@ pub struct ProfPoint {
 /// profile) or if cycle accounting lost a unit-cycle.
 pub fn profile(w: &Workload, m: &MachineSpec) -> Result<ProfPoint, WorkloadError> {
     assert!(m.multiscalar, "msprof profiles multiscalar machines; `{}` is scalar", m.name);
-    let stats = w.run_multiscalar_with_accountant(m.cfg, CpiAccountant::new())?;
+    let (stats, _) = w.run_multiscalar_with(m.cfg, NullSink, NoFaults, CpiAccountant::new())?;
     let cpi = stats.cpi.expect("a live accountant always yields a stack");
     assert!(
         cpi.conservation_holds(),

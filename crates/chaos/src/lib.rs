@@ -33,7 +33,8 @@
 #![deny(missing_docs)]
 
 use ms_workloads::{Scale, Workload, WorkloadError};
-use multiscalar::{FaultInjector, NoFaults, SimConfig};
+use multiscalar::trace::NullSink;
+use multiscalar::{FaultInjector, NoAccounting, NoFaults, SimConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -341,7 +342,7 @@ fn sim_config(c: &Campaign) -> SimConfig {
 }
 
 fn baseline(w: &Workload, c: &Campaign) -> Result<Baseline, WorkloadError> {
-    let (stats, p) = w.run_multiscalar_with_injector(sim_config(c), NoFaults)?;
+    let (stats, p) = w.run_multiscalar_with(sim_config(c), NullSink, NoFaults, NoAccounting)?;
     Ok(Baseline {
         instructions: stats.instructions,
         tasks_retired: stats.tasks_retired,
@@ -354,9 +355,9 @@ fn run_point(w: &Workload, base: &Baseline, plan: FaultPlan, c: &Campaign) -> Po
     let workload = w.name.to_string();
     let plan_name = plan.name().to_string();
     let seed = plan.seed();
-    // `run_multiscalar_with_injector` already verifies final memory
-    // against the reference implementation — the core oracle.
-    match w.run_multiscalar_with_injector(sim_config(c), plan) {
+    // `run_multiscalar_with` already verifies final memory against the
+    // reference implementation — the core oracle.
+    match w.run_multiscalar_with(sim_config(c), NullSink, plan, NoAccounting) {
         Ok((stats, p)) => {
             let mut failure = None;
             if stats.instructions != base.instructions {

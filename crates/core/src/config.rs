@@ -51,7 +51,8 @@ pub struct SimConfig {
     pub predictor: crate::PredictorKind,
     /// Response to ARB capacity exhaustion (paper default: stall).
     pub arb_full_policy: crate::ArbFullPolicy,
-    /// Event-driven skip-ahead stepping (on by default): when the whole
+    /// Event-driven skip-ahead stepping of the multiscalar processor (on
+    /// by default; the scalar baseline always ticks): when the whole
     /// machine is provably quiet for N cycles, the clock jumps by N and
     /// the skipped cycles are bulk-charged to the same accounting
     /// buckets the ticked loop would have used. Purely a host-side

@@ -90,7 +90,7 @@ pub use scalar::ScalarProcessor;
 pub use stats::{CycleBreakdown, RunStats};
 
 /// The structured trace layer (re-exported from `ms-trace`): attach a
-/// [`trace::TraceSink`] via [`Processor::with_sink`] to observe per-cycle
+/// [`trace::TraceSink`] via [`Processor::with_parts`] to observe per-cycle
 /// [`trace::TraceEvent`]s instead of (or in addition to) aggregate stats.
 pub use ms_trace as trace;
 

@@ -202,9 +202,6 @@ pub struct Processor<
     /// Always-on bounded flight recorder: periodic diagnostic snapshots,
     /// attached to [`SimError::Timeout`]/[`SimError::NoProgress`].
     flight: FlightRecorder,
-    /// Legacy human-readable event logging to stderr (the old `MS_TRACE`
-    /// behaviour), resolved once at construction instead of per cycle.
-    log_events: bool,
 }
 
 /// One retired task, as recorded in [`Processor::retirement_log`].
@@ -221,76 +218,15 @@ pub struct Retirement {
 }
 
 impl Processor {
-    /// Builds a processor for `prog` (a multiscalar-annotated binary).
+    /// Builds an uninstrumented processor for `prog` (a
+    /// multiscalar-annotated binary). Use [`Processor::with_parts`] to
+    /// attach a trace sink, fault injector or cycle accountant.
     ///
     /// # Errors
     /// Returns [`SimError::BadProgram`] if the program has no text or no
     /// task descriptor at its entry point.
     pub fn new(prog: Program, cfg: SimConfig) -> Result<Processor, SimError> {
-        Processor::with_sink(prog, cfg, NullSink)
-    }
-}
-
-impl<S: TraceSink> Processor<S> {
-    /// Builds a processor that reports [`TraceEvent`]s to `sink` as it
-    /// runs. With [`NullSink`] (what [`Processor::new`] uses) the
-    /// instrumentation monomorphizes away entirely.
-    ///
-    /// # Errors
-    /// Returns [`SimError::BadProgram`] if the program has no text or no
-    /// task descriptor at its entry point.
-    pub fn with_sink(prog: Program, cfg: SimConfig, sink: S) -> Result<Processor<S>, SimError> {
-        Processor::with_sink_and_injector(prog, cfg, sink, NoFaults)
-    }
-}
-
-impl<F: FaultInjector> Processor<NullSink, F> {
-    /// Builds an untraced processor whose microarchitecture is perturbed
-    /// by `injector` (chaos testing). Architectural results must be
-    /// unaffected — see [`FaultInjector`].
-    ///
-    /// # Errors
-    /// Returns [`SimError::BadProgram`] if the program has no text or no
-    /// task descriptor at its entry point.
-    pub fn with_injector(
-        prog: Program,
-        cfg: SimConfig,
-        injector: F,
-    ) -> Result<Processor<NullSink, F>, SimError> {
-        Processor::with_sink_and_injector(prog, cfg, NullSink, injector)
-    }
-}
-
-impl<A: CycleAccountant> Processor<NullSink, NoFaults, A> {
-    /// Builds an untraced, unperturbed processor whose cycles are charged
-    /// to `acct` — the entry point for CPI profiling (see
-    /// [`crate::CpiAccountant`]).
-    ///
-    /// # Errors
-    /// Returns [`SimError::BadProgram`] if the program has no text or no
-    /// task descriptor at its entry point.
-    pub fn with_accountant(
-        prog: Program,
-        cfg: SimConfig,
-        acct: A,
-    ) -> Result<Processor<NullSink, NoFaults, A>, SimError> {
-        Processor::with_parts(prog, cfg, NullSink, NoFaults, acct)
-    }
-}
-
-impl<S: TraceSink, F: FaultInjector> Processor<S, F> {
-    /// Builds a processor with both a trace sink and a fault injector.
-    ///
-    /// # Errors
-    /// Returns [`SimError::BadProgram`] if the program has no text or no
-    /// task descriptor at its entry point.
-    pub fn with_sink_and_injector(
-        prog: Program,
-        cfg: SimConfig,
-        sink: S,
-        injector: F,
-    ) -> Result<Processor<S, F>, SimError> {
-        Processor::with_parts(prog, cfg, sink, injector, NoAccounting)
+        Processor::with_parts(prog, cfg, NullSink, NoFaults, NoAccounting)
     }
 }
 
@@ -385,7 +321,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             step_issued: false,
             skip_telemetry: (0, 0, 0),
             flight: FlightRecorder::new(),
-            log_events: std::env::var_os("MS_TRACE").is_some(),
             prog,
             cfg,
         })
@@ -596,36 +531,17 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         self.active.iter().find(|r| r.unit == unit).map(|r| r.order)
     }
 
-    /// A one-line summary of sequencer/task state for debugging.
-    pub fn debug_state(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(s, "pending={:?} active=[", self.pending);
-        for r in &self.active {
-            let u = &self.units[r.unit];
-            let _ = write!(
-                s,
-                "{{#{} u{} @{:#x} exit={:?} val={} complete={} awaiting={} fwd21={}}} ",
-                r.order,
-                r.unit,
-                r.entry,
-                r.exit,
-                r.validated,
-                u.is_complete(self.now),
-                u.awaiting_regs(),
-                u.fwd_view().1.contains(ms_isa::Reg::int(21)),
-            );
+    /// Reports a ring message that dies at `unit` instead of being
+    /// delivered or forwarded.
+    fn ring_die(&mut self, now: u64, unit: usize, msg: &RingMsg) {
+        if S::ENABLED {
+            self.sink.event(&TraceEvent::RingDie {
+                cycle: now,
+                unit,
+                reg: msg.reg.index() as u8,
+                hops: msg.hops as u32,
+            });
         }
-        let _ = write!(
-            s,
-            "] halted={} ring={} seq_ready={} sq={}c+{}m",
-            self.halted,
-            self.ring.in_flight(),
-            self.seq_ready_at,
-            self.stats.control_squashes,
-            self.stats.memory_squashes
-        );
-        s
     }
 
     /// Advances the simulation one cycle.
@@ -653,7 +569,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
         // further. Idle units pass messages through (their successors may
         // hold later tasks that still need the value).
         let newest_order = self.active.back().map(|r| r.order);
-        let trace = self.log_events;
         // Reused scratch buffer (taken so `self.ring.send` stays legal
         // inside the loop; restored — cleared — at the end of the pass).
         let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
@@ -663,17 +578,7 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             // Stale-value kill: a later producer of this register already
             // retired, so no live or future task may consume this copy.
             if self.retired_creates[msg.reg.index()] > msg.sender_order + 1 {
-                if trace {
-                    eprintln!("[{now}] ring: {} stale at u{dest} {msg:?}", msg.reg);
-                }
-                if S::ENABLED {
-                    self.sink.event(&TraceEvent::RingDie {
-                        cycle: now,
-                        unit: dest,
-                        reg: msg.reg.index() as u8,
-                        hops: msg.hops as u32,
-                    });
-                }
+                self.ring_die(now, dest, &msg);
                 continue;
             }
             match self.unit_order(dest) {
@@ -691,29 +596,10 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                             && rec.create.contains(msg.reg)
                     });
                     if skipped_producer {
-                        if trace {
-                            eprintln!(
-                                "[{now}] ring: {} stale (skipped producer) at u{dest} {msg:?}",
-                                msg.reg
-                            );
-                        }
-                        if S::ENABLED {
-                            self.sink.event(&TraceEvent::RingDie {
-                                cycle: now,
-                                unit: dest,
-                                reg: msg.reg.index() as u8,
-                                hops: msg.hops as u32,
-                            });
-                        }
+                        self.ring_die(now, dest, &msg);
                         continue;
                     }
                     let propagate = self.units[dest].receive(msg.reg, msg.val, now);
-                    if trace {
-                        eprintln!(
-                            "[{now}] ring: {} -> u{dest} (order {order}) deliver prop={propagate} {msg:?}",
-                            msg.reg
-                        );
-                    }
                     if S::ENABLED {
                         self.sink.event(&TraceEvent::RingDeliver {
                             cycle: now,
@@ -727,39 +613,12 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
                         self.ring_send(dest, msg, now);
                     }
                 }
-                Some(order) => {
-                    if trace {
-                        eprintln!(
-                            "[{now}] ring: {} dies at u{dest} (order {order}) {msg:?}",
-                            msg.reg
-                        );
-                    }
-                    if S::ENABLED {
-                        self.sink.event(&TraceEvent::RingDie {
-                            cycle: now,
-                            unit: dest,
-                            reg: msg.reg.index() as u8,
-                            hops: msg.hops as u32,
-                        });
-                    }
-                } // wrapped to the sender or older tasks: dies
-                None => {
-                    if !self.active.is_empty() {
-                        self.ring_send(dest, msg, now); // pass through an idle unit
-                    } else {
-                        if trace {
-                            eprintln!("[{now}] ring: {} dies at idle u{dest} {msg:?}", msg.reg);
-                        }
-                        if S::ENABLED {
-                            self.sink.event(&TraceEvent::RingDie {
-                                cycle: now,
-                                unit: dest,
-                                reg: msg.reg.index() as u8,
-                                hops: msg.hops as u32,
-                            });
-                        }
-                    }
-                }
+                // Wrapped to the sender or older tasks: dies.
+                Some(_) => self.ring_die(now, dest, &msg),
+                // An idle unit passes the message through; with no task
+                // left anywhere it dies.
+                None if !self.active.is_empty() => self.ring_send(dest, msg, now),
+                None => self.ring_die(now, dest, &msg),
             }
         }
 
@@ -1460,17 +1319,6 @@ impl<S: TraceSink, F: FaultInjector, A: CycleAccountant> Processor<S, F, A> {
             None => (self.boot_vals, RegMask::from_bits(!0)),
         };
         let awaiting = RegMask::from_bits(!known.bits());
-        if self.log_events {
-            eprintln!(
-                "[{now}] assign: #{} -> u{unit_idx} @{entry:#x} awaiting={} (pred {:?})",
-                self.next_order,
-                awaiting.difference(RegMask::from_bits(1)),
-                self.active
-                    .back()
-                    .map(|r| (r.order, r.unit))
-                    .or(self.last_retired_unit.map(|u| (u64::MAX, u))),
-            );
-        }
         self.units[unit_idx].assign_task(entry, create, &vals, awaiting, now);
 
         let order = self.next_order;

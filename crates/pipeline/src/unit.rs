@@ -250,17 +250,6 @@ pub struct ProcessingUnit {
     /// Host-side telemetry: (probe attempts, successful parks, parked
     /// cycles replayed). Never part of simulated results.
     park_stats: (u64, u64, u64),
-    /// A park was established and has not been assessed yet.
-    park_open: bool,
-    /// `park_stats.2` at the moment the open park was established —
-    /// assessment measures the park's realized yield against it.
-    park_snap: u64,
-    /// Probe cooldown: decremented instead of probing. Set when a park
-    /// dies young (an external input kills it after < 2 cheap cycles —
-    /// the churn pattern where e.g. a remote value arrives one cycle
-    /// after the park). Purely a host-time heuristic: parking is
-    /// observationally neutral, so backing off cannot change results.
-    park_debt: u8,
 }
 
 impl ProcessingUnit {
@@ -297,9 +286,6 @@ impl ProcessingUnit {
             parked_reason: StallReason::FetchEmpty,
             park_enabled: true,
             park_stats: (0, 0, 0),
-            park_open: false,
-            park_snap: 0,
-            park_debt: 0,
         }
     }
 
@@ -383,10 +369,6 @@ impl ProcessingUnit {
         self.counters = TaskCounters::default();
         self.fault = None;
         self.last_stall = None;
-        // Kill any live park; `park_open`/`park_debt` deliberately
-        // survive task boundaries — probe churn (e.g. wait-retire parks
-        // killed at every retirement) repeats across consecutive tasks
-        // on the same unit, so the backoff must too.
         self.parked_until = 0;
     }
 
@@ -687,45 +669,12 @@ impl ProcessingUnit {
                         | StallReason::WaitRetire
                 )
             {
-                // Assess the previous park first: one killed *externally*
-                // (`parked_until` zeroed by an input) after < 2 realized
-                // cycles (counting cycles the whole-machine skip consumed
-                // on its behalf) means probes here churn — e.g. a
-                // remote-dep park whose value arrives one cycle later —
-                // so hold off for a few stall cycles before paying again.
-                // A park that ran out naturally proved an exact span and
-                // is never punished, however short.
-                if self.park_open {
-                    self.park_open = false;
-                    if self.parked_until == 0 && self.park_stats.2.wrapping_sub(self.park_snap) < 2
-                    {
-                        self.park_debt = 8;
-                    }
-                }
-                if self.park_debt > 0 {
-                    self.park_debt -= 1;
-                } else {
-                    self.park_stats.0 += 1;
-                    let mut parked = false;
-                    if let Some((wake, span_reason)) = self.quiet_until(now + 1) {
-                        if wake > now + 1 {
-                            self.park_stats.1 += 1;
-                            self.parked_until = wake;
-                            self.parked_reason = span_reason;
-                            self.park_open = true;
-                            self.park_snap = self.park_stats.2;
-                            parked = true;
-                        }
-                    }
-                    // A failed probe (no certificate, or a 1-cycle span not
-                    // worth parking) predicts another failure next cycle,
-                    // so sit out one cycle before probing again. This
-                    // halves probe waste on workloads that stall one cycle
-                    // at a time, while a real quiet span loses at most one
-                    // cycle of coverage — longer backoffs measurably eat
-                    // into short parks (Compress averages ~13-cycle spans).
-                    if !parked {
-                        self.park_debt = 1;
+                self.park_stats.0 += 1;
+                if let Some((wake, span_reason)) = self.quiet_until(now + 1) {
+                    if wake > now + 1 {
+                        self.park_stats.1 += 1;
+                        self.parked_until = wake;
+                        self.parked_reason = span_reason;
                     }
                 }
             }
@@ -1274,12 +1223,6 @@ impl ProcessingUnit {
         }
         self.stall_hist[reason.index()] += n;
         self.last_stall = Some(reason);
-        // Cycles the whole-machine skip consumed under a live park count
-        // as realized yield, so the assessment above doesn't mistake a
-        // good park for churn just because the global jump ate its span.
-        if self.parked_until != 0 {
-            self.park_stats.2 += n;
-        }
     }
 
     fn completion_phase(&mut self, now: u64) {

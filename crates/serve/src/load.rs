@@ -27,7 +27,7 @@
 
 use crate::protocol::{self, Response};
 use ms_sweep::{Job, JobKind};
-use ms_workloads::{suite, Scale};
+use ms_workloads::{fnv1a_64, suite, Scale};
 use multiscalar::SimConfig;
 use std::fmt::Write as _;
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -128,18 +128,6 @@ fn backoff_ms(opts: &LoadOptions, conn: usize, point: usize, attempt: usize, hin
         .wrapping_add(attempt as u64);
     let jitter = mix64(salt) % (base / 4 + 1);
     (base + jitter).min(opts.backoff_cap_ms)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Per-point accounting, merged across every connection.
@@ -285,6 +273,22 @@ fn schedule(opts: &LoadOptions, conn: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Reads one response line into `line`. `Ok(0)` means no answer is
+/// coming: the read deadline passed, or the daemon went away (EOF or a
+/// reset connection).
+fn read_response(reader: &mut BufReader<TcpStream>, line: &mut String) -> std::io::Result<usize> {
+    use std::io::ErrorKind::{ConnectionAborted, ConnectionReset, TimedOut, WouldBlock};
+    line.clear();
+    match reader.read_line(line) {
+        Err(e)
+            if matches!(e.kind(), WouldBlock | TimedOut | ConnectionReset | ConnectionAborted) =>
+        {
+            Ok(0)
+        }
+        r => r,
+    }
+}
+
 fn run_connection(
     opts: &LoadOptions,
     names: &[String],
@@ -298,21 +302,27 @@ fn run_connection(
         deadline_failures: 0,
     };
     let deadline = Duration::from_millis(opts.deadline_ms.max(1));
-    let stream = TcpStream::connect(&opts.addr)?;
-    stream.set_read_timeout(Some(deadline))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-
-    let mut hello = String::new();
-    reader.read_line(&mut hello)?;
-    protocol::parse_response(&hello)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    let greet = || -> std::io::Result<(TcpStream, BufReader<TcpStream>)> {
+        let stream = TcpStream::connect(&opts.addr)?;
+        stream.set_read_timeout(Some(deadline))?;
+        stream.set_nodelay(true)?;
+        let writer = stream.try_clone()?;
+        let mut reader = BufReader::new(stream);
+        let mut hello = String::new();
+        reader.read_line(&mut hello)?;
+        protocol::parse_response(&hello)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        Ok((writer, reader))
+    };
+    // Everybody connects and greets first, then fires together — this
+    // is what makes connections × pipelining genuinely concurrent. Each
+    // thread passes the barrier exactly once, whether or not its greeting
+    // worked, so one failed connection cannot strand the others.
+    let greeted = greet();
+    start.wait();
+    let (mut writer, mut reader) = greeted?;
 
     let plan = schedule(opts, conn);
-    // Everybody connects and greets first, then fires together — this
-    // is what makes connections × pipelining genuinely concurrent.
-    start.wait();
     let t0 = Instant::now();
 
     let mut batch = String::new();
@@ -327,18 +337,7 @@ fn run_connection(
     let mut retry: Vec<usize> = Vec::new();
     let mut line = String::new();
     for i in 0..plan.len() {
-        line.clear();
-        let n = match reader.read_line(&mut line) {
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                0
-            }
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
+        if read_response(&mut reader, &mut line)? == 0 {
             for &point in &plan[i..] {
                 tally.points[point].failed += 1;
                 tally.deadline_failures += 1;
@@ -390,18 +389,7 @@ fn run_connection(
                 break;
             }
             writer.write_all(request_line(point, &point_job(point, names)).as_bytes())?;
-            line.clear();
-            let n = match reader.read_line(&mut line) {
-                Ok(n) => n,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    0
-                }
-                Err(e) => return Err(e),
-            };
-            if n == 0 {
+            if read_response(&mut reader, &mut line)? == 0 {
                 deadline_hit = true;
                 break;
             }
@@ -465,12 +453,7 @@ pub fn run_load(opts: &LoadOptions) -> std::io::Result<LoadOutcome> {
                 .stack_size(256 * 1024)
                 .spawn_scoped(scope, move || match run_connection(opts, names, conn, &start) {
                     Ok(tally) => tallies.lock().unwrap().push(tally),
-                    Err(e) => {
-                        // A stuck barrier would hang every other thread;
-                        // errors before the barrier still wait on it.
-                        errors.lock().unwrap().push(e);
-                        start.wait();
-                    }
+                    Err(e) => errors.lock().unwrap().push(e),
                 })
                 .expect("spawn load connection thread");
         }
@@ -649,11 +632,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn silent_daemon_yields_structured_failure_rows_not_a_hang() {
-        // A "daemon" that greets and then never answers anything.
+    /// A "daemon" that greets two connections and never answers. With
+    /// `hold` it keeps both sockets open until `done` fires; without, it
+    /// closes them right after the greeting, as a crashing daemon would.
+    fn mute_daemon(
+        hold: bool,
+    ) -> (String, std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let server = std::thread::spawn(move || {
             let mut held = Vec::new();
             for stream in listener.incoming() {
@@ -661,15 +648,21 @@ mod tests {
                 if stream.write_all(protocol::hello_line(1, 8).as_bytes()).is_err() {
                     break;
                 }
-                held.push(stream); // keep the socket open, say nothing
+                held.push(stream);
                 if held.len() >= 2 {
                     break;
                 }
             }
+            if hold {
+                let _ = done_rx.recv();
+            }
         });
+        (addr, done_tx, server)
+    }
 
+    fn mute_load(addr: String) {
         let opts = LoadOptions {
-            addr: addr.to_string(),
+            addr,
             connections: 2,
             requests_per_conn: 3,
             points: 2,
@@ -677,11 +670,28 @@ mod tests {
             ..LoadOptions::default()
         };
         let t0 = Instant::now();
-        let outcome = run_load(&opts).expect("a silent daemon is rows, not an error");
+        let outcome = run_load(&opts).expect("a mute daemon is rows, not an error");
         assert!(t0.elapsed() < Duration::from_secs(10), "deadline bounded the run");
         assert_eq!(outcome.failed, 6, "{outcome:?}");
         assert_eq!(outcome.deadline_failures, 6, "{outcome:?}");
         assert_eq!(outcome.total, 0, "{outcome:?}");
+    }
+
+    #[test]
+    fn silent_daemon_yields_structured_failure_rows_not_a_hang() {
+        let (addr, done, server) = mute_daemon(true);
+        mute_load(addr);
+        done.send(()).unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn daemon_dying_after_the_greeting_yields_failure_rows_not_a_hang() {
+        // The closed sockets answer the batch with EOF or a reset,
+        // depending on timing; both must end in rows, on every
+        // connection, with no thread left waiting for the others.
+        let (addr, _done, server) = mute_daemon(false);
+        mute_load(addr);
         server.join().unwrap();
     }
 }

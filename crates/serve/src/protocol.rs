@@ -534,6 +534,27 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_on_a_connection_sized_stack() {
+        // Connection threads run on 256 KiB stacks; the deepest request
+        // the parser accepts must fit, and a deeper one must be refused
+        // with a reason instead of overflowing the stack.
+        let deepest = format!(
+            r#"{{"op":"ping","pad":{}{}}}"#,
+            "[".repeat(jsonv::MAX_DEPTH - 1),
+            "]".repeat(jsonv::MAX_DEPTH - 1)
+        );
+        let hostile = "[".repeat(100_000);
+        let (ok, err) = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || (parse_request(&deepest), parse_request(&hostile)))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(ok.unwrap().req, Request::Ping);
+        assert!(err.unwrap_err().contains("nesting deeper than"));
+    }
+
+    #[test]
     fn control_ops_parse() {
         assert_eq!(parse_request(r#"{"op":"stats","id":9}"#).unwrap().req, Request::Stats);
         assert_eq!(parse_request(r#"{"op":"ping"}"#).unwrap().req, Request::Ping);

@@ -831,6 +831,26 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_bad_request_and_the_daemon_keeps_serving() {
+        let server = start(SweepCache::disabled(), 8, 1);
+        let deep = "[".repeat(100_000);
+        let responses = request(server.addr(), &[&deep, r#"{"op":"ping","id":2}"#]);
+        match &responses[0] {
+            Response::Error { code, detail, .. } => {
+                assert_eq!(code, "bad_request");
+                assert!(detail.contains("nesting deeper than"), "{detail}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(responses[1], Response::Pong { id: 2 });
+        // A fresh connection is served too: the daemon did not die.
+        let later = request(server.addr(), &[r#"{"op":"ping","id":3}"#]);
+        assert_eq!(later[0], Response::Pong { id: 3 });
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
     fn shutdown_op_answers_bye_and_drains() {
         let server = start(SweepCache::disabled(), 8, 1);
         let addr = server.addr();

@@ -28,8 +28,8 @@
 //! and the point recomputed. The sweep never fails because of a bad
 //! cache file, and never silently re-reads the same torn bytes twice.
 
-use crate::hash::fnv1a_64;
 use crate::statsio::{stats_from_kv, stats_to_kv};
+use ms_workloads::fnv1a_64;
 use multiscalar::RunStats;
 use std::fs;
 use std::io::Write;

@@ -24,9 +24,9 @@
 use crate::cache::SweepCache;
 use crate::job::{Job, JobKind};
 use crate::spec::SweepSpec;
-use ms_trace::MetricsSink;
+use ms_trace::{MetricsSink, NullSink};
 use ms_workloads::{by_name, Scale, Workload};
-use multiscalar::{CpiAccountant, RunStats};
+use multiscalar::{CpiAccountant, NoAccounting, NoFaults, RunStats};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -129,20 +129,19 @@ impl Executor for InProcessExecutor {
             JobKind::Multiscalar => match (&self.metrics_dir, self.cpi) {
                 (None, false) => w.run_multiscalar(job.cfg).map_err(|e| e.to_string()),
                 (None, true) => w
-                    .run_multiscalar_with_accountant(job.cfg, CpiAccountant::new())
+                    .run_multiscalar_with(job.cfg, NullSink, NoFaults, CpiAccountant::new())
+                    .map(|(stats, _)| stats)
                     .map_err(|e| e.to_string()),
                 (Some(dir), cpi) => {
+                    let sink = MetricsSink::new();
                     let (stats, sink) = if cpi {
-                        w.run_multiscalar_instrumented(
-                            job.cfg,
-                            MetricsSink::new(),
-                            CpiAccountant::new(),
-                        )
-                        .map_err(|e| e.to_string())?
+                        w.run_multiscalar_with(job.cfg, sink, NoFaults, CpiAccountant::new())
+                            .map(|(stats, p)| (stats, p.into_sink()))
                     } else {
-                        w.run_multiscalar_with_sink(job.cfg, MetricsSink::new())
-                            .map_err(|e| e.to_string())?
-                    };
+                        w.run_multiscalar_with(job.cfg, sink, NoFaults, NoAccounting)
+                            .map(|(stats, p)| (stats, p.into_sink()))
+                    }
+                    .map_err(|e| e.to_string())?;
                     let name = format!("{slot:04}-{}.json", job.id().replace('/', "_"));
                     let path = dir.join(name);
                     std::fs::write(&path, sink.into_report().to_json())

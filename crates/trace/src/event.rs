@@ -434,7 +434,8 @@ impl TraceEvent {
     }
 }
 
-/// Human-readable one-line form, used by the legacy `MS_TRACE` stderr log.
+/// Human-readable one-line form, for printing events from a sink (e.g. an
+/// [`crate::FnSink`] that writes each event to stderr).
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use TraceEvent::*;

@@ -6,7 +6,14 @@
 //!
 //! The parser is strict where it matters (structure, escapes, numbers)
 //! and tolerant where it does not (field order, unknown fields — object
-//! fields are kept in document order and looked up by name).
+//! fields are kept in document order and looked up by name). It parses
+//! bytes from the network too, so nesting is bounded by [`MAX_DEPTH`]:
+//! a line of `[[[[…` is an error, not a stack overflow.
+
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace writes nests a handful of levels; the bound keeps the
+/// recursive descent far inside a 256 KiB thread stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -78,7 +85,7 @@ impl JsonValue {
 /// Parses a complete JSON document. Trailing non-whitespace is an
 /// error; the message names the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut r = Reader { bytes: text.as_bytes(), pos: 0 };
+    let mut r = Reader { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let v = r.value()?;
     r.skip_ws();
     if r.pos != r.bytes.len() {
@@ -90,6 +97,8 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -176,46 +185,15 @@ impl<'a> Reader<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => {
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
                 self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    fields.push((key, self.value()?));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Obj(fields));
-                        }
-                        _ => return Err(self.error("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Arr(items));
-                        }
-                        _ => return Err(self.error("expected `,` or `]`")),
-                    }
-                }
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
             }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
@@ -237,6 +215,49 @@ impl<'a> Reader<'a> {
                     .ok_or_else(|| self.error("bad number"))
             }
             None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    /// Parses an object's fields, just past its `{`.
+    fn object(&mut self) -> Result<JsonValue, String> {
+        let mut fields = Vec::new();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.expect(b':')?;
+            fields.push((key, self.value()?));
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Obj(fields));
+                }
+                _ => return Err(self.error("expected `,` or `}`")),
+            }
+        }
+    }
+
+    /// Parses an array's items, just past its `[`.
+    fn array(&mut self) -> Result<JsonValue, String> {
+        let mut items = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Arr(items));
+                }
+                _ => return Err(self.error("expected `,` or `]`")),
+            }
         }
     }
 }
@@ -270,6 +291,20 @@ mod tests {
         let doc = format!("{{\"k\":{}}}", crate::json::string("a\"b\\c\nd\t\u{1}"));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("a\"b\\c\nd\t\u{1}"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far deeper than any stack could recurse, balanced or not:
+        // rejected at the first container past the bound.
+        for doc in [nested(100_000), "[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&doc).unwrap_err();
+            assert!(err.starts_with(&format!("nesting deeper than {MAX_DEPTH} at byte")), "{err}");
+        }
     }
 
     #[test]

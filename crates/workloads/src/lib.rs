@@ -37,7 +37,11 @@ pub use data::Scale;
 
 use ms_asm::{assemble, AsmMode};
 use ms_isa::Program;
-use multiscalar::{Processor, RunStats, ScalarProcessor, SimConfig, SimError};
+use multiscalar::trace::{NullSink, TraceSink};
+use multiscalar::{
+    CycleAccountant, FaultInjector, NoAccounting, NoFaults, Processor, RunStats, ScalarProcessor,
+    SimConfig, SimError,
+};
 use std::fmt;
 
 /// An expected memory value, checked after a run.
@@ -144,14 +148,17 @@ impl From<SimError> for WorkloadError {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+/// 64-bit FNV-1a of `bytes`: stable across processes and Rust releases
+/// (unlike `std`'s randomized default hasher), so it can name things on
+/// disk. Workload fingerprints, sweep-cache entry names and checksums,
+/// and `msload` payload digests all use it.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
     }
+    h
 }
 
 impl Workload {
@@ -165,17 +172,17 @@ impl Workload {
     /// this is what keys the `ms-sweep` on-disk result cache. The hash is
     /// FNV-1a, independent of `std`'s unstable default hasher.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, self.name.as_bytes());
-        fnv1a(&mut h, &[0xff]);
-        fnv1a(&mut h, self.source.as_bytes());
+        let mut bytes = Vec::with_capacity(self.name.len() + self.source.len() + 1);
+        bytes.extend_from_slice(self.name.as_bytes());
+        bytes.push(0xff);
+        bytes.extend_from_slice(self.source.as_bytes());
         for c in &self.checks {
-            fnv1a(&mut h, &[0xfe]);
-            fnv1a(&mut h, c.symbol.as_bytes());
-            fnv1a(&mut h, &c.offset.to_le_bytes());
-            fnv1a(&mut h, &c.bytes);
+            bytes.push(0xfe);
+            bytes.extend_from_slice(c.symbol.as_bytes());
+            bytes.extend_from_slice(&c.offset.to_le_bytes());
+            bytes.extend_from_slice(&c.bytes);
         }
-        h
+        fnv1a_64(&bytes)
     }
 }
 
@@ -255,91 +262,36 @@ impl Workload {
     /// # Errors
     /// Propagates assembly/simulation errors and validation mismatches.
     pub fn run_multiscalar(&self, cfg: SimConfig) -> Result<RunStats, WorkloadError> {
-        let prog = self.assemble(AsmMode::Multiscalar)?;
-        let mut p = Processor::new(prog, cfg)?;
-        let stats = p.run()?;
-        self.verify_memory(p.memory(), p.program())?;
+        let (stats, _) = self.run_multiscalar_with(cfg, NullSink, NoFaults, NoAccounting)?;
         Ok(stats)
     }
 
-    /// Like [`Workload::run_multiscalar`], but reports every
-    /// [`multiscalar::trace::TraceEvent`] to `sink` and returns the
-    /// finished sink alongside the stats.
+    /// Like [`Workload::run_multiscalar`], but with instrumentation
+    /// attached: `sink` receives every [`multiscalar::trace::TraceEvent`],
+    /// `injector` perturbs the microarchitecture (chaos testing), and
+    /// `acct` charges every (unit, cycle) — with
+    /// [`multiscalar::CpiAccountant`] the returned stats carry a
+    /// conservation-checked [`multiscalar::trace::CpiStack`] in
+    /// [`RunStats::cpi`]. Pass [`NullSink`], [`NoFaults`] or
+    /// [`NoAccounting`] for a hook you do not need.
+    ///
+    /// Returns the finished processor alongside the stats, so callers
+    /// can inspect the retirement log and final memory, or take the
+    /// sink with [`Processor::into_sink`]. Memory is validated against
+    /// the reference before returning — instrumentation and fault
+    /// injection must never change architectural results.
     ///
     /// # Errors
     /// Propagates assembly/simulation errors and validation mismatches.
-    pub fn run_multiscalar_with_sink<S: multiscalar::trace::TraceSink>(
+    pub fn run_multiscalar_with<S: TraceSink, F: FaultInjector, A: CycleAccountant>(
         &self,
         cfg: SimConfig,
         sink: S,
-    ) -> Result<(RunStats, S), WorkloadError> {
-        let prog = self.assemble(AsmMode::Multiscalar)?;
-        let mut p = Processor::with_sink(prog, cfg, sink)?;
-        let stats = p.run()?;
-        self.verify_memory(p.memory(), p.program())?;
-        Ok((stats, p.into_sink()))
-    }
-
-    /// Like [`Workload::run_multiscalar`], but charges every (unit,
-    /// cycle) to `acct` — with [`multiscalar::CpiAccountant`] the
-    /// returned stats carry a conservation-checked
-    /// [`multiscalar::trace::CpiStack`] in [`RunStats::cpi`]. This is the
-    /// run path behind `msprof` and `--cpi` sweeps.
-    ///
-    /// # Errors
-    /// Propagates assembly/simulation errors and validation mismatches.
-    pub fn run_multiscalar_with_accountant<A: multiscalar::CycleAccountant>(
-        &self,
-        cfg: SimConfig,
-        acct: A,
-    ) -> Result<RunStats, WorkloadError> {
-        let prog = self.assemble(AsmMode::Multiscalar)?;
-        let mut p = Processor::with_accountant(prog, cfg, acct)?;
-        let stats = p.run()?;
-        self.verify_memory(p.memory(), p.program())?;
-        Ok(stats)
-    }
-
-    /// Like [`Workload::run_multiscalar_with_sink`], but additionally
-    /// charges cycles to `acct` — for callers that want an event stream
-    /// *and* a CPI stack from the same run (e.g. `mstrace`
-    /// reconciliation, metrics-plus-`--cpi` sweeps).
-    ///
-    /// # Errors
-    /// Propagates assembly/simulation errors and validation mismatches.
-    pub fn run_multiscalar_instrumented<
-        S: multiscalar::trace::TraceSink,
-        A: multiscalar::CycleAccountant,
-    >(
-        &self,
-        cfg: SimConfig,
-        sink: S,
-        acct: A,
-    ) -> Result<(RunStats, S), WorkloadError> {
-        let prog = self.assemble(AsmMode::Multiscalar)?;
-        let mut p = Processor::with_parts(prog, cfg, sink, multiscalar::NoFaults, acct)?;
-        let stats = p.run()?;
-        self.verify_memory(p.memory(), p.program())?;
-        Ok((stats, p.into_sink()))
-    }
-
-    /// Like [`Workload::run_multiscalar`], but perturbs the
-    /// microarchitecture through `injector` (chaos testing) and returns
-    /// the finished processor alongside the stats so callers can inspect
-    /// the retirement log and final memory. Memory is validated against
-    /// the reference before returning — fault injection must never change
-    /// architectural results.
-    ///
-    /// # Errors
-    /// Propagates assembly/simulation errors and validation mismatches.
-    #[allow(clippy::type_complexity)]
-    pub fn run_multiscalar_with_injector<F: multiscalar::FaultInjector>(
-        &self,
-        cfg: SimConfig,
         injector: F,
-    ) -> Result<(RunStats, Processor<multiscalar::trace::NullSink, F>), WorkloadError> {
+        acct: A,
+    ) -> Result<(RunStats, Processor<S, F, A>), WorkloadError> {
         let prog = self.assemble(AsmMode::Multiscalar)?;
-        let mut p = Processor::with_injector(prog, cfg, injector)?;
+        let mut p = Processor::with_parts(prog, cfg, sink, injector, acct)?;
         let stats = p.run()?;
         self.verify_memory(p.memory(), p.program())?;
         Ok((stats, p))
@@ -370,6 +322,13 @@ pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
 #[cfg(test)]
 mod identity_tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_64_matches_the_standard_vectors() {
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn fingerprints_are_deterministic_and_scale_sensitive() {

@@ -19,7 +19,7 @@
 
 use ms_workloads::{by_name, Scale};
 use multiscalar::trace::ChromeTraceSink;
-use multiscalar::SimConfig;
+use multiscalar::{NoAccounting, NoFaults, SimConfig};
 use std::fs::File;
 use std::io::BufWriter;
 
@@ -31,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let trace_path =
             out_dir.join(format!("cycle_breakdown_{}.trace.json", name.to_ascii_lowercase()));
         let sink = ChromeTraceSink::new(BufWriter::new(File::create(&trace_path)?));
-        let (stats, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(8), sink)?;
-        let (_, err) = sink.into_inner();
+        let (stats, p) =
+            w.run_multiscalar_with(SimConfig::multiscalar(8), sink, NoFaults, NoAccounting)?;
+        let (_, err) = p.into_sink().into_inner();
         if let Some(e) = err {
             return Err(e.into());
         }

@@ -13,6 +13,8 @@
 //! skipping past a re-assigned producer's unit); keep it pinned.
 
 use ms_chaos::{run_campaign, Campaign, FaultPlan};
+use multiscalar::trace::NullSink;
+use multiscalar::NoAccounting;
 
 #[test]
 fn fixed_seed_campaign_passes_and_is_deterministic() {
@@ -54,10 +56,10 @@ fn fault_plans_reproduce_identically_under_skip_ahead_config() {
     let w = ms_workloads::by_name("gcc", ms_workloads::Scale::Test).expect("gcc exists");
     let cfg = multiscalar::SimConfig::multiscalar(4);
     let (skipped, _) = w
-        .run_multiscalar_with_injector(cfg.skip_ahead(true), FaultPlan::storm(4))
+        .run_multiscalar_with(cfg.skip_ahead(true), NullSink, FaultPlan::storm(4), NoAccounting)
         .expect("chaotic run (skip-ahead config)");
     let (ticked, _) = w
-        .run_multiscalar_with_injector(cfg.skip_ahead(false), FaultPlan::storm(4))
+        .run_multiscalar_with(cfg.skip_ahead(false), NullSink, FaultPlan::storm(4), NoAccounting)
         .expect("chaotic run (ticked config)");
     assert_eq!(
         stats_to_json(&skipped),

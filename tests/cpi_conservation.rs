@@ -33,14 +33,20 @@
 use ms_asm::{assemble, AsmMode};
 use ms_fuzz::diff::{config_points, ValidateOpts};
 use ms_fuzz::gen;
-use ms_trace::{CpiStack, StallReason};
-use multiscalar::{CpiAccountant, Processor, SimConfig};
+use ms_trace::{CpiStack, NullSink, StallReason};
+use ms_workloads::{Workload, WorkloadError};
+use multiscalar::{CpiAccountant, NoFaults, Processor, RunStats, SimConfig};
 
 fn opts() -> ValidateOpts {
     ValidateOpts { max_cycles: 1_000_000, watchdog: 200_000 }
 }
 
 /// Asserts every form of the conservation invariant on one stack.
+/// Runs `w` on `cfg` with a live [`CpiAccountant`].
+fn accounted(w: &Workload, cfg: SimConfig) -> Result<RunStats, WorkloadError> {
+    w.run_multiscalar_with(cfg, NullSink, NoFaults, CpiAccountant::new()).map(|(stats, _)| stats)
+}
+
 fn assert_conserved(label: &str, cpi: &CpiStack) {
     let stalls: u64 = cpi.stall_cycles.iter().sum();
     assert_eq!(
@@ -97,8 +103,9 @@ fn fuzz_corpus_conserves_unit_cycles() {
                 .unwrap_or_else(|e| panic!("{label}: build: {e}"));
             let base = plain.run().unwrap_or_else(|e| panic!("{label}: run: {e}"));
 
-            let mut acct = Processor::with_accountant(prog.clone(), *cfg, CpiAccountant::new())
-                .unwrap_or_else(|e| panic!("{label}: build (accounted): {e}"));
+            let mut acct =
+                Processor::with_parts(prog.clone(), *cfg, NullSink, NoFaults, CpiAccountant::new())
+                    .unwrap_or_else(|e| panic!("{label}: build (accounted): {e}"));
             let stats = acct.run().unwrap_or_else(|e| panic!("{label}: run (accounted): {e}"));
 
             // Accounting is observational — same machine, same run.
@@ -132,11 +139,9 @@ fn workload_suite_conserves_unit_cycles() {
             // Conservation must hold either way, and the two complete
             // stacks — every bucket, per unit and per task — must be
             // identical (DESIGN.md §13).
-            let stats = w
-                .run_multiscalar_with_accountant(cfg.skip_ahead(true), CpiAccountant::new())
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-            let ticked = w
-                .run_multiscalar_with_accountant(cfg.skip_ahead(false), CpiAccountant::new())
+            let stats =
+                accounted(&w, cfg.skip_ahead(true)).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let ticked = accounted(&w, cfg.skip_ahead(false))
                 .unwrap_or_else(|e| panic!("{label} (ticked): {e}"));
             let cpi = stats.cpi.as_ref().unwrap_or_else(|| panic!("{label}: no CPI stack"));
             assert_conserved(&label, cpi);
@@ -163,12 +168,8 @@ fn golden_path() -> std::path::PathBuf {
 fn cpi_stack_matches_golden_fixture() {
     let w = ms_workloads::by_name("Wc", ms_workloads::Scale::Test).expect("Wc exists");
     let cfg = SimConfig::multiscalar(4);
-    let stats = w
-        .run_multiscalar_with_accountant(cfg.skip_ahead(true), CpiAccountant::new())
-        .expect("Wc runs");
-    let ticked = w
-        .run_multiscalar_with_accountant(cfg.skip_ahead(false), CpiAccountant::new())
-        .expect("Wc runs ticked");
+    let stats = accounted(&w, cfg.skip_ahead(true)).expect("Wc runs");
+    let ticked = accounted(&w, cfg.skip_ahead(false)).expect("Wc runs ticked");
     let mut snapshot = stats.cpi.expect("accounted run has a stack").to_json();
     assert_eq!(
         snapshot,

@@ -4,7 +4,8 @@
 
 use ms_asm::{assemble, AsmMode};
 use ms_isa::Reg;
-use multiscalar::{FaultInjector, Processor, ScalarProcessor, SimConfig};
+use multiscalar::trace::NullSink;
+use multiscalar::{FaultInjector, NoAccounting, Processor, ScalarProcessor, SimConfig};
 
 fn run_both(src: &str, units: usize) -> (Processor, ScalarProcessor) {
     let ms = assemble(src, AsmMode::Multiscalar).expect("ms assembles");
@@ -311,7 +312,7 @@ FIN:
     for units in [2usize, 4, 8] {
         let ms = assemble(src, AsmMode::Multiscalar).unwrap();
         let cfg = SimConfig::multiscalar(units).max_cycles(20_000_000);
-        let mut p = Processor::with_injector(ms, cfg, AlwaysWrong).unwrap();
+        let mut p = Processor::with_parts(ms, cfg, NullSink, AlwaysWrong, NoAccounting).unwrap();
         let stats = p.run().expect("ms run under forced mispredicts");
         assert!(stats.tasks_squashed > 0, "@{units}: the sweep must actually squash");
         let tally = p.program().symbol("tally").unwrap();

@@ -5,7 +5,7 @@
 
 use ms_trace::{ChromeTraceSink, JsonLinesSink, MetricsSink, TeeSink, TraceEvent, VecSink};
 use ms_workloads::{by_name, Scale};
-use multiscalar::{Processor, SimConfig};
+use multiscalar::{NoAccounting, NoFaults, Processor, SimConfig};
 
 /// A tiny two-task program: one counting task plus a halt task.
 const TWO_TASKS: &str = "
@@ -27,9 +27,10 @@ fn two_task_prog() -> ms_isa::Program {
 #[test]
 fn event_stream_reconciles_with_run_stats() {
     let w = by_name("Gcc", Scale::Test).unwrap();
-    let (stats, sink) =
-        w.run_multiscalar_with_sink(SimConfig::multiscalar(8), MetricsSink::new()).unwrap();
-    let m = sink.into_report();
+    let (stats, p) = w
+        .run_multiscalar_with(SimConfig::multiscalar(8), MetricsSink::new(), NoFaults, NoAccounting)
+        .unwrap();
+    let m = p.into_sink().into_report();
     assert_eq!(m.tasks_retired, stats.tasks_retired);
     assert_eq!(m.tasks_squashed, stats.tasks_squashed, "squash events must sum to tasks_squashed");
     assert_eq!(m.control_squash_waves, stats.control_squashes);
@@ -52,8 +53,10 @@ fn identical_runs_produce_byte_identical_jsonl() {
     let run = || {
         let w = by_name("Compress", Scale::Test).unwrap();
         let sink = JsonLinesSink::new(Vec::<u8>::new());
-        let (_, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(4), sink).unwrap();
-        let (bytes, err) = sink.into_inner();
+        let (_, p) = w
+            .run_multiscalar_with(SimConfig::multiscalar(4), sink, NoFaults, NoAccounting)
+            .unwrap();
+        let (bytes, err) = p.into_sink().into_inner();
         assert!(err.is_none());
         bytes
     };
@@ -68,8 +71,9 @@ fn traced_run_matches_untraced_run() {
     // Attaching a sink must never perturb the simulation.
     let w = by_name("Wc", Scale::Test).unwrap();
     let plain = w.run_multiscalar(SimConfig::multiscalar(8)).unwrap();
-    let (traced, _) =
-        w.run_multiscalar_with_sink(SimConfig::multiscalar(8), MetricsSink::new()).unwrap();
+    let (traced, _) = w
+        .run_multiscalar_with(SimConfig::multiscalar(8), MetricsSink::new(), NoFaults, NoAccounting)
+        .unwrap();
     assert_eq!(plain.cycles, traced.cycles);
     assert_eq!(plain.instructions, traced.instructions);
     assert_eq!(plain.tasks_squashed, traced.tasks_squashed);
@@ -78,9 +82,14 @@ fn traced_run_matches_untraced_run() {
 
 #[test]
 fn two_task_program_emits_the_expected_lifecycle() {
-    let mut p =
-        Processor::with_sink(two_task_prog(), SimConfig::multiscalar(4), VecSink::default())
-            .unwrap();
+    let mut p = Processor::with_parts(
+        two_task_prog(),
+        SimConfig::multiscalar(4),
+        VecSink::default(),
+        NoFaults,
+        NoAccounting,
+    )
+    .unwrap();
     p.run().unwrap();
     let events = p.into_sink().events;
     let assigns = events.iter().filter(|e| matches!(e, TraceEvent::TaskAssign { .. })).count();
@@ -117,8 +126,9 @@ fn two_task_program_emits_the_expected_lifecycle() {
 fn chrome_trace_of_a_real_run_is_well_formed() {
     let w = by_name("Cmp", Scale::Test).unwrap();
     let sink = TeeSink(MetricsSink::new(), ChromeTraceSink::new(Vec::<u8>::new()));
-    let (stats, sink) = w.run_multiscalar_with_sink(SimConfig::multiscalar(8), sink).unwrap();
-    let TeeSink(metrics, chrome) = sink;
+    let (stats, p) =
+        w.run_multiscalar_with(SimConfig::multiscalar(8), sink, NoFaults, NoAccounting).unwrap();
+    let TeeSink(metrics, chrome) = p.into_sink();
     let (bytes, err) = chrome.into_inner();
     assert!(err.is_none());
     let text = String::from_utf8(bytes).unwrap();
